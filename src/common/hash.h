@@ -1,13 +1,10 @@
-// Hashing utilities: 64-bit FNV-1a for strings, hash combining, and a
-// pair-of-ids hasher used by distance caches and co-occurrence maps.
+// Hashing utilities: 64-bit FNV-1a for strings and hash combining.
 
 #ifndef TEGRA_COMMON_HASH_H_
 #define TEGRA_COMMON_HASH_H_
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
-#include <utility>
 
 namespace tegra {
 
@@ -30,18 +27,6 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
   return seed ^ (v ^ (v >> 31));
 }
-
-/// \brief Hash functor for std::pair<uint32_t, uint32_t> keys, e.g. interned
-/// string-id pairs in the distance cache.
-struct PairHash {
-  size_t operator()(const std::pair<uint32_t, uint32_t>& p) const {
-    uint64_t key = (static_cast<uint64_t>(p.first) << 32) | p.second;
-    // splitmix64 finalizer: cheap and well distributed.
-    key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(key ^ (key >> 31));
-  }
-};
 
 }  // namespace tegra
 

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -90,15 +89,6 @@ TEST(HashTest, Fnv1aIsDeterministicAndDiscriminating) {
   EXPECT_NE(Fnv1a64("toronto"), Fnv1a64("torontO"));
   // Known FNV-1a property: empty string hashes to the offset basis.
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
-}
-
-TEST(HashTest, PairHashSpreadsNeighbors) {
-  PairHash h;
-  std::set<size_t> values;
-  for (uint32_t i = 0; i < 100; ++i) {
-    values.insert(h({i, i + 1}));
-  }
-  EXPECT_EQ(values.size(), 100u);  // No collisions among tiny neighbors.
 }
 
 // ---- random ---------------------------------------------------------------

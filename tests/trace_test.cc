@@ -499,6 +499,30 @@ TEST_F(PipelineTraceTest, OneExtractionPopulatesPhaseHistograms) {
   }
 }
 
+TEST_F(PipelineTraceTest, DistanceCallsCountPerAnchorCachesWhenThreaded) {
+  if (!kCompiledIn) GTEST_SKIP() << "work counters need TEGRA_TRACE=ON";
+  CorpusStats stats(index_);
+  auto distance_calls = [&](int num_threads) {
+    MetricsRegistry registry;
+    Tracer& tracer = Tracer::Global();
+    tracer.BindMetrics(&registry);
+    tracer.SetEnabled(true);
+    tracer.Reset();
+    TegraOptions options;
+    options.num_threads = num_threads;
+    TegraExtractor extractor(&stats, options);
+    EXPECT_TRUE(extractor.ExtractWithColumns(Lines(), 3).ok());
+    tracer.SetEnabled(false);
+    tracer.BindMetrics(nullptr);
+    return registry.Snapshot().counters.at("extract.distance_calls_total");
+  };
+  const uint64_t one_thread = distance_calls(1);
+  EXPECT_GT(one_thread, 0u);
+  // Per-anchor caches overlap, so their sum is at least the distinct pairs
+  // one shared cache computes.
+  EXPECT_GE(distance_calls(2), one_thread);
+}
+
 TEST_F(PipelineTraceTest, ServiceRequestsLandInSlowlogWithSpans) {
   Tracer& tracer = Tracer::Global();
   tracer.SetEnabled(true);
