@@ -40,13 +40,15 @@ struct ColumnReps {
 };
 
 /// Field-to-column consistency: average F2FC (1 - distance) against the
-/// column's representatives; 0 when the column has none.
+/// column's representatives; 0 when the column has none. Distances are not
+/// memoized: each pairs a candidate field with one of a few representatives,
+/// so a DistanceCache would allocate matrix rows for a handful of slots each.
 double Consistency(const CellInfo& cell, const ColumnReps& reps, size_t col,
-                   DistanceCache* dist) {
+                   const CellDistance& dist) {
   const auto& rs = reps.cells[col];
   if (rs.empty()) return 0.0;
   double total = 0;
-  for (const CellInfo* r : rs) total += 1.0 - (*dist)(cell, *r);
+  for (const CellInfo* r : rs) total += 1.0 - dist.Distance(cell, *r);
   return total / static_cast<double>(rs.size());
 }
 
@@ -95,7 +97,7 @@ void GreedySplit(const ListContext& ctx, size_t line, uint32_t s, uint32_t e,
 /// consistency.
 FieldRow PadWithNulls(const ListContext& ctx, size_t line,
                       const FieldRow& fields, int m, const ColumnReps& reps,
-                      DistanceCache* dist) {
+                      const CellDistance& dist) {
   const int k = static_cast<int>(fields.size());
   assert(k <= m);
   // dp[i][c]: best consistency assigning first i fields within first c
@@ -180,7 +182,7 @@ FieldRow ResplitToColumns(const ListContext& ctx, size_t line, int m,
 /// consistency with those columns' representatives.
 FieldRow ResplitStreak(const ListContext& ctx, size_t line, uint32_t s,
                        uint32_t e, size_t first_col, size_t cols,
-                       const ColumnReps& reps, DistanceCache* dist,
+                       const ColumnReps& reps, const CellDistance& dist,
                        uint32_t cap) {
   const uint32_t len = e - s;
   std::vector<std::vector<double>> dp(
@@ -242,7 +244,6 @@ Result<BaselineResult> ListExtract::ExtractWithExamples(
     // refinement; register everything.
     ctx.EnsureWidth(j, ctx.line_length(j));
   }
-  DistanceCache dist(&distance_);
 
   // Convert examples to field rows; they are held fixed throughout.
   std::vector<std::optional<FieldRow>> fixed(n);
@@ -311,7 +312,7 @@ Result<BaselineResult> ListExtract::ExtractWithExamples(
     const int k = static_cast<int>(rows[j].size());
     if (k == m) continue;
     if (k < m) {
-      rows[j] = PadWithNulls(ctx, j, rows[j], m, reps, &dist);
+      rows[j] = PadWithNulls(ctx, j, rows[j], m, reps, distance_);
     } else {
       rows[j] = ResplitToColumns(ctx, j, m,
                                  std::max(resplit_cap,
@@ -338,7 +339,8 @@ Result<BaselineResult> ListExtract::ExtractWithExamples(
     for (int c = 0; c < m; ++c) {
       const CellInfo& cell = FieldCell(ctx, j, rows[j][c]);
       bad[c] =
-          Consistency(cell, full_reps, c, &dist) < options_.refinement_threshold;
+          Consistency(cell, full_reps, c, distance_) <
+          options_.refinement_threshold;
     }
     int c = 0;
     while (c < m) {
@@ -353,7 +355,7 @@ Result<BaselineResult> ListExtract::ExtractWithExamples(
       const uint32_t e = rows[j][end].end;
       if (e > s && end > c) {
         FieldRow replacement =
-            ResplitStreak(ctx, j, s, e, c, end - c + 1, full_reps, &dist,
+            ResplitStreak(ctx, j, s, e, c, end - c + 1, full_reps, distance_,
                           std::max(resplit_cap, e - s));
         for (int cc = c; cc <= end; ++cc) rows[j][cc] = replacement[cc - c];
       }
