@@ -141,9 +141,9 @@ void BM_AnchorSearchAStar(benchmark::State& state) {
     ctx.EnsureWidth(j, ctx.EffectiveWidth(j, m, 8));
   }
   for (auto _ : state) {
-    DistanceCache cache(&distance);
+    ExtractionMemo memo(&distance, ctx.num_lines());
     benchmark::DoNotOptimize(
-        MinimizeAnchorDistanceAStar(ctx, 0, m, &cache, 8));
+        MinimizeAnchorDistanceAStar(ctx, 0, m, &memo, 8));
   }
 }
 BENCHMARK(BM_AnchorSearchAStar)->Arg(3)->Arg(5);

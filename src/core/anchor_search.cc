@@ -6,8 +6,6 @@
 #include <queue>
 #include <tuple>
 
-#include "core/free_distance.h"
-
 namespace tegra {
 
 namespace {
@@ -114,10 +112,11 @@ AnchorSearchResult MinimizeAnchorDistanceExhaustive(const ListContext& ctx,
 
 AnchorSearchResult MinimizeAnchorDistanceAStar(const ListContext& ctx,
                                                size_t anchor, int m,
-                                               DistanceCache* dist,
+                                               ExtractionMemo* memo,
                                                uint32_t base_cap,
                                                uint32_t slgr_cap,
                                                size_t max_nodes) {
+  DistanceCache* dist = &memo->distance;
   // A pinned anchor admits a single segmentation; score it directly.
   const auto& fixed = ctx.fixed_bounds(anchor);
   if (fixed.has_value()) {
@@ -134,7 +133,7 @@ AnchorSearchResult MinimizeAnchorDistanceAStar(const ListContext& ctx,
   const auto line_widths = LineWidths(ctx, m, LineCap(base_cap, slgr_cap));
 
   const AnchorHeuristic heuristic(ctx, anchor, m, anchor_width, line_widths,
-                                  dist);
+                                  dist, &memo->free_distances[anchor]);
 
   // Split the other lines into flexible and fixed sets once.
   std::vector<size_t> flex_lines;

@@ -16,12 +16,25 @@
 #define TEGRA_CORE_ANCHOR_SEARCH_H_
 
 #include <cstdint>
+#include <vector>
 
+#include "core/free_distance.h"
 #include "core/list_context.h"
 #include "core/slgr.h"
 #include "distance/distance.h"
 
 namespace tegra {
+
+/// \brief The memo tables of one extraction, handed to the anchor search as
+/// one object: cell-pair distances, and each anchor line's free distances,
+/// which the unsupervised sweep reuses from one m to the next.
+struct ExtractionMemo {
+  ExtractionMemo(const CellDistance* distance, size_t num_lines)
+      : distance(distance), free_distances(num_lines) {}
+
+  DistanceCache distance;
+  std::vector<FreeDistances> free_distances;  ///< Indexed by anchor line.
+};
 
 /// \brief Outcome of minimizing anchor distance for one anchor line.
 struct AnchorSearchResult {
@@ -50,9 +63,11 @@ struct AnchorSearchResult {
 ///   segmentation found so far, continuing only until the first complete
 ///   solution exists. The result may then be suboptimal but is always a
 ///   valid segmentation.
+/// \param memo distances and `anchor`'s free distances; the search fills
+///   both.
 AnchorSearchResult MinimizeAnchorDistanceAStar(const ListContext& ctx,
                                                size_t anchor, int m,
-                                               DistanceCache* dist,
+                                               ExtractionMemo* memo,
                                                uint32_t base_cap,
                                                uint32_t slgr_cap = 0,
                                                size_t max_nodes = 0);

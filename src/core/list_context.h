@@ -9,6 +9,7 @@
 #ifndef TEGRA_CORE_LIST_CONTEXT_H_
 #define TEGRA_CORE_LIST_CONTEXT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,7 +49,22 @@ class ListContext {
 
   /// \brief Interned cell for tokens [start, start+len) of `line`.
   /// Requires a prior EnsureWidth(line, >= len); len >= 1.
-  const CellInfo& Cell(size_t line, uint32_t start, uint32_t len) const;
+  const CellInfo& Cell(size_t line, uint32_t start, uint32_t len) const {
+    assert(len >= 1 && len <= cell_stride(line));
+    assert(start + len <= line_length(line));
+    return *LineCells(line)[start * cell_stride(line) + len - 1];
+  }
+
+  /// \brief The registered candidate cells of `line` as one flat array: the
+  /// cell of tokens [start, start+len) sits at
+  /// [start * cell_stride(line) + len - 1]. Slots that would run past the
+  /// end of the line are null. The hot loops walk this array directly; it
+  /// is rebuilt (and the pointer invalidated) by EnsureWidth.
+  const CellInfo* const* LineCells(size_t line) const {
+    return cells_[line].data();
+  }
+  /// The registered width of `line`: the stride of LineCells(line).
+  uint32_t cell_stride(size_t line) const { return registered_width_[line]; }
 
   /// The null cell.
   const CellInfo& NullCell() const { return catalog_.NullCell(); }
@@ -86,11 +102,10 @@ class ListContext {
   std::vector<std::vector<std::string>> lines_;
   uint32_t max_line_length_ = 0;
   CellCatalog catalog_;
-  // Per line: registered width and substring cell ids, indexed
-  // [start * (width cap) ...]; grown by EnsureWidth.
+  // Per line: the registered width, and the flat candidate-cell array it
+  // strides (see LineCells). The catalog's cells have stable addresses.
   std::vector<uint32_t> registered_width_;
-  // cell_ids_[line][start][len-1] -> catalog id.
-  std::vector<std::vector<std::vector<uint32_t>>> cell_ids_;
+  std::vector<std::vector<const CellInfo*>> cells_;
   std::vector<std::optional<Bounds>> fixed_bounds_;
   size_t num_examples_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "core/slgr.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -24,6 +25,10 @@ void AdvanceAlignmentRow(const ListContext& ctx, size_t line,
                          uint32_t max_width) {
   const uint32_t len = ctx.line_length(line);
   assert(prev.size() == len + 1);
+  const uint32_t stride = ctx.cell_stride(line);
+  assert((max_width == 0 ? len : std::min(max_width, len)) <= stride &&
+         "EnsureWidth not called with sufficient width");
+  const CellInfo* const* cells = ctx.LineCells(line);
   next->assign(len + 1, kInf);
   const CellInfo& null_cell = ctx.NullCell();
   const double null_cost = (*dist)(null_cell, anchor_cell);
@@ -34,8 +39,8 @@ void AdvanceAlignmentRow(const ListContext& ctx, size_t line,
     const uint32_t min_x = (max_width > 0 && w > max_width) ? w - max_width : 0;
     for (uint32_t x = min_x; x < w; ++x) {
       if (prev[x] == kInf) continue;
-      const double d =
-          (*dist)(ctx.Cell(line, x, w - x), anchor_cell);
+      const double d = (*dist)(*cells[size_t{x} * stride + (w - x - 1)],
+                               anchor_cell);
       best = std::min(best, prev[x] + d);
     }
     (*next)[w] = best;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -67,8 +68,7 @@ std::vector<size_t> TegraExtractor::SelectAnchors(const ListContext& ctx,
 }
 
 TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
-    ListContext* ctx, int m, int anchor_sample,
-    DistanceCache* shared_cache) const {
+    ListContext* ctx, int m, int anchor_sample, ExtractionMemo* memo) const {
   const uint32_t base_cap = static_cast<uint32_t>(options_.max_cell_tokens);
   {
     // Materialize candidate cells for every line up front so the context is
@@ -84,15 +84,15 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
   std::vector<AnchorSearchResult> results(anchors.size());
   std::vector<size_t> task_evaluations(anchors.size(), 0);
 
-  auto run_anchor = [&](size_t idx, DistanceCache* cache) {
+  auto run_anchor = [&](size_t idx, ExtractionMemo* run_memo) {
     const size_t anchor = anchors[idx];
     results[idx] =
         options_.use_astar
-            ? MinimizeAnchorDistanceAStar(*ctx, anchor, m, cache, base_cap,
+            ? MinimizeAnchorDistanceAStar(*ctx, anchor, m, run_memo, base_cap,
                                           options_.slgr_width_cap,
                                           options_.max_anchor_nodes)
-            : MinimizeAnchorDistanceExhaustive(*ctx, anchor, m, cache,
-                                               base_cap,
+            : MinimizeAnchorDistanceExhaustive(*ctx, anchor, m,
+                                               &run_memo->distance, base_cap,
                                                options_.slgr_width_cap,
                                                options_.max_anchor_nodes);
   };
@@ -109,15 +109,19 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
       pool.ParallelFor(anchors.size(), [&, parent](size_t idx) {
         trace::ScopedContext scoped(parent);
         TEGRA_TRACE_SPAN("anchor", "extract", nullptr);
-        // Each task owns a memo cache; corpus-level co-occurrence results
-        // are shared (and locked) inside CorpusStats.
-        DistanceCache local_cache(&distance_);
-        run_anchor(idx, &local_cache);
-        task_evaluations[idx] = local_cache.evaluations();
+        // Each task owns a distance memo, and its anchor's free distances
+        // while it runs; corpus-level co-occurrence results are shared (and
+        // locked) inside CorpusStats.
+        ExtractionMemo task_memo(&distance_, ctx->num_lines());
+        FreeDistances& kept = memo->free_distances[anchors[idx]];
+        std::swap(task_memo.free_distances[anchors[idx]], kept);
+        run_anchor(idx, &task_memo);
+        std::swap(task_memo.free_distances[anchors[idx]], kept);
+        task_evaluations[idx] = task_memo.distance.evaluations();
       });
     } else {
       for (size_t idx = 0; idx < anchors.size(); ++idx) {
-        run_anchor(idx, shared_cache);
+        run_anchor(idx, memo);
       }
     }
   }
@@ -141,9 +145,9 @@ TegraExtractor::RunOutcome TegraExtractor::RunGivenColumns(
     // non-anchor line; SP evaluation re-walks the aligned pairs.
     TEGRA_TRACE_SPAN("slgr_dp", "extract", "extract.phase.slgr_dp");
     outcome.bounds = InduceTable(*ctx, outcome.anchor_line, best.anchor_bounds,
-                                 shared_cache, base_cap,
+                                 &memo->distance, base_cap,
                                  options_.slgr_width_cap);
-    outcome.sp = SumOfPairsDistance(*ctx, outcome.bounds, shared_cache,
+    outcome.sp = SumOfPairsDistance(*ctx, outcome.bounds, &memo->distance,
                                     options_.max_sp_pairs);
   }
   return outcome;
@@ -191,14 +195,14 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
     num_columns = example_cols;
   }
 
-  DistanceCache cache(&distance_);
+  ExtractionMemo memo(&distance_, ctx.num_lines());
   ExtractionResult out;
   size_t anchors_evaluated = 0;
-  size_t distance_evaluations = 0;  // Made outside `cache`.
+  size_t distance_evaluations = 0;  // Made outside `memo.distance`.
 
   if (num_columns > 0) {
     RunOutcome run = RunGivenColumns(&ctx, num_columns,
-                                     options_.final_anchor_sample, &cache);
+                                     options_.final_anchor_sample, &memo);
     anchors_evaluated += run.anchors_evaluated;
     distance_evaluations +=run.task_distance_evaluations;
     out.num_columns = num_columns;
@@ -217,7 +221,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
     RunOutcome best_run;
     for (int m = 1; m <= max_m; ++m) {
       RunOutcome run =
-          RunGivenColumns(&ctx, m, options_.sweep_anchor_sample, &cache);
+          RunGivenColumns(&ctx, m, options_.sweep_anchor_sample, &memo);
       out.nodes_expanded += run.nodes_expanded;
       anchors_evaluated += run.anchors_evaluated;
       distance_evaluations +=run.task_distance_evaluations;
@@ -232,7 +236,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
     // exhaustive).
     if (options_.sweep_anchor_sample != options_.final_anchor_sample) {
       best_run = RunGivenColumns(&ctx, best_m, options_.final_anchor_sample,
-                                 &cache);
+                                 &memo);
       out.nodes_expanded += best_run.nodes_expanded;
       anchors_evaluated += best_run.anchors_evaluated;
       distance_evaluations +=best_run.task_distance_evaluations;
@@ -263,7 +267,7 @@ Result<ExtractionResult> TegraExtractor::ExtractTokens(
       metrics->GetCounter("extract.nodes_expanded_total")
           ->Increment(out.nodes_expanded);
       metrics->GetCounter("extract.distance_calls_total")
-          ->Increment(cache.evaluations() + distance_evaluations);
+          ->Increment(memo.distance.evaluations() + distance_evaluations);
       metrics->GetCounter("extract.anchors_total")
           ->Increment(anchors_evaluated);
     }

@@ -31,6 +31,8 @@
 
 namespace tegra {
 
+struct ExtractionMemo;
+
 /// \brief Configuration of a TegraExtractor.
 struct TegraOptions {
   /// Distance function knobs (alpha, semantic measure).
@@ -164,7 +166,7 @@ class TegraExtractor {
 
   /// Runs anchor minimization for a fixed m over `anchor_sample` anchors.
   RunOutcome RunGivenColumns(ListContext* ctx, int m, int anchor_sample,
-                             DistanceCache* shared_cache) const;
+                             ExtractionMemo* memo) const;
 
   /// Picks which lines to use as anchors (most-typical token counts first).
   std::vector<size_t> SelectAnchors(const ListContext& ctx,

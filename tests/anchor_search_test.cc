@@ -57,7 +57,7 @@ TEST_P(AStarEqualsNaiveTest, OnRandomLists) {
     const uint32_t cap = static_cast<uint32_t>(rng.UniformInt(2, 4));
     PrepareWidths(&ctx, m, cap);
     for (size_t anchor = 0; anchor < ctx.num_lines(); ++anchor) {
-      DistanceCache c1(&distance);
+      ExtractionMemo c1(&distance, ctx.num_lines());
       DistanceCache c2(&distance);
       const auto astar =
           MinimizeAnchorDistanceAStar(ctx, anchor, m, &c1, cap);
@@ -102,7 +102,7 @@ TEST(AStarWithCorpusTest, MatchesNaiveOnRealDistances) {
     ListContext ctx(std::move(token_lines), &index);
     const int m = 3;
     PrepareWidths(&ctx, m, 3);
-    DistanceCache c1(&distance);
+    ExtractionMemo c1(&distance, ctx.num_lines());
     DistanceCache c2(&distance);
     const auto astar = MinimizeAnchorDistanceAStar(ctx, 0, m, &c1, 3);
     const auto naive = MinimizeAnchorDistanceExhaustive(ctx, 0, m, &c2, 3);
@@ -116,7 +116,7 @@ TEST(AStarTest, PrunesRelativeToExhaustive) {
   ListContext ctx = RandomContext(&rng, 4, 8, nullptr);
   const int m = 3;
   PrepareWidths(&ctx, m, 4);
-  DistanceCache c1(&distance);
+  ExtractionMemo c1(&distance, ctx.num_lines());
   DistanceCache c2(&distance);
   const auto astar = MinimizeAnchorDistanceAStar(ctx, 0, m, &c1, 4);
   const auto naive = MinimizeAnchorDistanceExhaustive(ctx, 0, m, &c2, 4);
@@ -129,8 +129,8 @@ TEST(AStarTest, FixedAnchorShortCircuits) {
   ListContext ctx({{"a", "b"}, {"x", "y"}}, nullptr);
   PrepareWidths(&ctx, 2, 2);
   ctx.SetFixedBounds(0, {0, 1, 2});
-  DistanceCache cache(&distance);
-  const auto result = MinimizeAnchorDistanceAStar(ctx, 0, 2, &cache, 2);
+  ExtractionMemo memo(&distance, ctx.num_lines());
+  const auto result = MinimizeAnchorDistanceAStar(ctx, 0, 2, &memo, 2);
   EXPECT_EQ(result.anchor_bounds, (Bounds{0, 1, 2}));
   EXPECT_EQ(result.nodes_expanded, 1u);
 }
@@ -142,8 +142,8 @@ TEST(AStarTest, SupervisedWeightsScaleAnchorDistance) {
   PrepareWidths(&unweighted, 2, 2);
   PrepareWidths(&weighted, 2, 2);
   weighted.SetFixedBounds(1, {0, 1, 2});
-  DistanceCache c1(&distance);
-  DistanceCache c2(&distance);
+  ExtractionMemo c1(&distance, unweighted.num_lines());
+  ExtractionMemo c2(&distance, weighted.num_lines());
   const auto plain = MinimizeAnchorDistanceAStar(unweighted, 0, 2, &c1, 2);
   const auto sup = MinimizeAnchorDistanceAStar(weighted, 0, 2, &c2, 2);
   // The example pair weight n/k = 3 must increase the anchor distance.
@@ -169,7 +169,8 @@ TEST(HeuristicTest, AdmissibleAlongOptimalPath) {
       line_widths[j] = ctx.EffectiveWidth(j, m, cap);
     }
     DistanceCache cache(&distance);
-    AnchorHeuristic h(ctx, 0, m, anchor_width, line_widths, &cache);
+    FreeDistances free;
+    AnchorHeuristic h(ctx, 0, m, anchor_width, line_widths, &cache, &free);
 
     DistanceCache c2(&distance);
     const auto best = MinimizeAnchorDistanceExhaustive(ctx, 0, m, &c2, cap);
@@ -195,13 +196,14 @@ TEST(HeuristicTest, FreeDistanceIsLowerBoundOnAlignment) {
     widths[j] = ctx.EffectiveWidth(j, m, cap);
   }
   DistanceCache cache(&distance);
-  AnchorHeuristic h(ctx, 0, m, aw, widths, &cache);
+  FreeDistances free;
+  AnchorHeuristic h(ctx, 0, m, aw, widths, &cache, &free);
 
   const uint32_t len = ctx.line_length(0);
   for (uint32_t start = 0; start < len; ++start) {
     for (uint32_t w = 1; w <= std::min(aw, len - start); ++w) {
       const CellInfo& c = ctx.Cell(0, start, w);
-      const double free_d = h.FreeDistanceOf(c);
+      const double free_d = h.FreeDistanceOf(start, w);
       // Against line 1, any candidate cell (or null) costs at least freeD's
       // per-line minimum; verify via direct minimization.
       double best = cache(c, ctx.NullCell());
@@ -212,6 +214,58 @@ TEST(HeuristicTest, FreeDistanceIsLowerBoundOnAlignment) {
         }
       }
       EXPECT_NEAR(free_d, best, 1e-9) << c.text;
+    }
+  }
+}
+
+TEST(HeuristicTest, MemoReuseIsExactAcrossTheSweep) {
+  // The anchor's heuristic is rebuilt through one memo for m = 1..6, as the
+  // unsupervised sweep does, and compared with a fresh one at every m. With
+  // cap 3, line 1 (12 tokens) has width caps 12, 6, 4, 3, 3, 3: the memo is
+  // refilled at m = 2, 3 and 4, and reused at m = 5 and 6.
+  CellDistance distance(nullptr);
+  ListContext ctx({{"jan", "7.5", "new", "york", "42", "jan"},
+                   {"boston", "1984", "ave", "7.5", "city", "new", "york",
+                    "42", "toronto", "jan", "ave", "1984"},
+                   {"city", "42", "ave"}},
+                  nullptr);
+  const uint32_t cap = 3;
+  const uint32_t len = ctx.line_length(0);
+  FreeDistances memo;
+  for (int m = 1; m <= 6; ++m) {
+    PrepareWidths(&ctx, m, cap);
+    const uint32_t anchor_width = ctx.EffectiveWidth(0, m, cap);
+    std::vector<uint32_t> line_widths(ctx.num_lines());
+    for (size_t j = 0; j < ctx.num_lines(); ++j) {
+      line_widths[j] = ctx.EffectiveWidth(j, m, cap);
+    }
+    DistanceCache memo_cache(&distance);
+    const AnchorHeuristic reused(ctx, 0, m, anchor_width, line_widths,
+                                 &memo_cache, &memo);
+    DistanceCache fresh_cache(&distance);
+    FreeDistances fresh_memo;
+    const AnchorHeuristic fresh(ctx, 0, m, anchor_width, line_widths,
+                                &fresh_cache, &fresh_memo);
+
+    for (int p = 0; p <= m; ++p) {
+      for (uint32_t w = 0; w <= len; ++w) {
+        EXPECT_EQ(reused.Get(p, w), fresh.Get(p, w))
+            << "m=" << m << " p=" << p << " w=" << w;
+      }
+    }
+    for (uint32_t start = 0; start < len; ++start) {
+      for (uint32_t w = 0; start + w <= len; ++w) {
+        EXPECT_EQ(reused.FreeDistanceOf(start, w),
+                  fresh.FreeDistanceOf(start, w))
+            << "m=" << m << " start=" << start << " w=" << w;
+      }
+    }
+    // Reused free distances need no distance at all.
+    if (m >= 5) {
+      EXPECT_EQ(memo_cache.evaluations(), 0u) << "m=" << m;
+    } else {
+      EXPECT_EQ(memo_cache.evaluations(), fresh_cache.evaluations())
+          << "m=" << m;
     }
   }
 }

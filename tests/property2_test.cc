@@ -56,7 +56,7 @@ TEST_P(SupervisedAStarTest, MatchesExhaustiveWithExamples) {
     ctx.SetFixedBounds(pinned, choices[rng.Uniform(choices.size())]);
 
     for (size_t anchor = 0; anchor < ctx.num_lines(); ++anchor) {
-      DistanceCache c1(&distance);
+      ExtractionMemo c1(&distance, ctx.num_lines());
       DistanceCache c2(&distance);
       const auto astar =
           MinimizeAnchorDistanceAStar(ctx, anchor, m, &c1, cap);

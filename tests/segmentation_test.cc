@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "common/string_util.h"
 #include "core/list_context.h"
 #include "core/segmentation.h"
 
@@ -113,6 +114,48 @@ TEST(ListContextTest, EnsureWidthIsIncremental) {
   // Re-ensuring a smaller width is a no-op.
   ctx.EnsureWidth(0, 2);
   EXPECT_EQ(ctx.Cell(0, 1, 3).text, "b c d");
+}
+
+TEST(ListContextTest, FlatCellsStayInternedAsWidthsGrow) {
+  // Each wider EnsureWidth re-strides a line's flat cell array; a cell
+  // interned from outside the lines comes last. Every slot must still hold
+  // the catalog's cell for its joined tokens.
+  const std::vector<std::vector<std::string>> tokens = {
+      {"new", "york", "city", "ny", "10001"}, {"a", "b", "a", "b"}, {"x"}};
+  ListContext ctx(tokens, nullptr);
+  for (uint32_t width : {1u, 3u, 5u}) {
+    for (size_t line = 0; line < ctx.num_lines(); ++line) {
+      ctx.EnsureWidth(line, width);
+    }
+  }
+  const size_t catalog_size = ctx.catalog().size();
+  const CellInfo& external =
+      ctx.RegisterExternalCell("york city ny 10001 x", 5);
+  EXPECT_EQ(external.local_id, catalog_size);
+
+  for (size_t line = 0; line < ctx.num_lines(); ++line) {
+    const uint32_t len = ctx.line_length(line);
+    ASSERT_EQ(ctx.cell_stride(line), len);
+    const CellInfo* const* cells = ctx.LineCells(line);
+    for (uint32_t start = 0; start < len; ++start) {
+      for (uint32_t w = 1; w <= len; ++w) {
+        const CellInfo* slot = cells[start * len + w - 1];
+        if (start + w > len) {
+          EXPECT_EQ(slot, nullptr);
+          continue;
+        }
+        const std::string text =
+            JoinRange(tokens[line], start, start + w, " ");
+        const CellInfo& cell = ctx.Cell(line, start, w);
+        EXPECT_EQ(slot, &cell);
+        EXPECT_EQ(&cell, &ctx.RegisterExternalCell(text, w)) << text;
+        EXPECT_EQ(&cell, &ctx.catalog().Get(cell.local_id));
+        EXPECT_EQ(cell.token_count, w);
+      }
+    }
+  }
+  // Looking the substrings up interned nothing new.
+  EXPECT_EQ(ctx.catalog().size(), catalog_size + 1);
 }
 
 TEST(ListContextTest, EffectiveWidthRelaxesForFeasibility) {

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
 #include "corpus/column_index.h"
 #include "corpus/corpus_stats.h"
+#include "synth/corpus_gen.h"
+#include "synth/list_gen.h"
 
 namespace tegra {
 namespace {
@@ -156,6 +163,49 @@ TEST(TegraEdgeCases, MoreColumnsThanTokens) {
   auto result = tegra.ExtractWithColumns({"a b", "c d"}, 4);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->table.NumCols(), 4u);
+}
+
+TEST(TegraPinnedOutput, UnsupervisedEnterpriseListsAreUnchanged) {
+  // The unsupervised sweep on generated Enterprise lists, some with lines
+  // long enough that their width caps change with m. The digest of every
+  // column count and boundary vector, and the total nodes expanded, were
+  // recorded with the free-distance heuristic rebuilt from scratch for
+  // every m; reusing free distances across the sweep must not move them,
+  // at one thread or several.
+  const ColumnIndex index = synth::BuildBackgroundIndex(
+      synth::CorpusProfile::kEnterprise, /*num_tables=*/300, /*seed=*/11);
+  const std::vector<synth::BenchmarkInstance> lists = synth::MakeBenchmark(
+      synth::CorpusProfile::kEnterprise, /*count=*/6, /*seed=*/12);
+  size_t longest = 0;
+  const Tokenizer tokenizer;
+  for (const synth::BenchmarkInstance& list : lists) {
+    for (const std::string& line : list.lines) {
+      longest = std::max(longest, tokenizer.Tokenize(line).size());
+    }
+  }
+  ASSERT_GT(longest, static_cast<size_t>(TegraOptions().max_cell_tokens));
+
+  for (int threads : {1, 3}) {
+    const CorpusStats stats(&index);
+    TegraOptions options;
+    options.num_threads = threads;
+    const TegraExtractor tegra(&stats, options);
+    std::string bounds;
+    size_t nodes_expanded = 0;
+    for (const synth::BenchmarkInstance& list : lists) {
+      const auto result = tegra.Extract(list.lines);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      nodes_expanded += result->nodes_expanded;
+      bounds += std::to_string(result->num_columns) + ':';
+      for (const Bounds& line : result->bounds) {
+        for (uint32_t b : line) bounds += std::to_string(b) + ',';
+        bounds += ';';
+      }
+      bounds += '|';
+    }
+    EXPECT_EQ(Fnv1a64(bounds), 0xf96654d87acad48full) << "threads=" << threads;
+    EXPECT_EQ(nodes_expanded, 2353u) << "threads=" << threads;
+  }
 }
 
 }  // namespace
