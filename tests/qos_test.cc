@@ -2,17 +2,22 @@
 // machine and the per-tenant token-bucket quotas, all on synthetic clocks,
 // plus the rung-0 bit-identity guarantee of the per-rung engines.
 
+#include <atomic>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/tegra.h"
+#include "corpus/corpus_stats.h"
 #include "health/timeseries.h"
 #include "qos/degradation.h"
 #include "qos/rung_engine.h"
 #include "qos/rungs.h"
 #include "qos/token_bucket.h"
+#include "synth/corpus_gen.h"
+#include "synth/list_gen.h"
 
 namespace tegra {
 namespace qos {
@@ -265,6 +270,58 @@ TEST(RungEngine, EveryRungExtracts) {
     EXPECT_EQ(result.value().table.NumRows(), CityLines().size())
         << "rung " << rung;
   }
+}
+
+/// Forwards to `base`, counting CoOccurrenceCount calls.
+class CoOccurrenceCounter : public CorpusView {
+ public:
+  explicit CoOccurrenceCounter(const CorpusView* base) : base_(base) {}
+
+  uint64_t TotalColumns() const override { return base_->TotalColumns(); }
+  size_t NumValues() const override { return base_->NumValues(); }
+  ValueId Lookup(std::string_view value) const override {
+    return base_->Lookup(value);
+  }
+  uint32_t ColumnCount(ValueId id) const override {
+    return base_->ColumnCount(id);
+  }
+  uint32_t CoOccurrenceCount(ValueId a, ValueId b) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return base_->CoOccurrenceCount(a, b);
+  }
+  std::string ValueString(ValueId id) const override {
+    return base_->ValueString(id);
+  }
+  const char* FormatName() const override { return base_->FormatName(); }
+  size_t HeapBytes() const override { return base_->HeapBytes(); }
+  size_t MappedBytes() const override { return base_->MappedBytes(); }
+
+  size_t calls() const { return calls_.load(); }
+
+ private:
+  const CorpusView* base_;
+  mutable std::atomic<size_t> calls_{0};
+};
+
+TEST(RungEngine, SyntacticRungMakesNoCoOccurrenceLookups) {
+  const ColumnIndex index = synth::BuildBackgroundIndex(
+      synth::CorpusProfile::kEnterprise, /*num_tables=*/200, /*seed=*/3);
+  synth::TableGenerator generator(synth::CorpusProfile::kEnterprise,
+                                  /*seed=*/4);
+  const std::vector<std::string> lines =
+      synth::MakeBenchmarkInstance(generator.Generate()).lines;
+
+  // Each rung gets a fresh CorpusStats, so no memo hides a lookup.
+  auto co_calls_at = [&](int rung) {
+    const CoOccurrenceCounter counter(&index);
+    const CorpusStats stats(&counter);
+    const RungEngine engine(&stats, TegraOptions{});
+    const auto result = engine.Extract(rung, lines, /*num_columns=*/0);
+    EXPECT_TRUE(result.ok()) << "rung " << rung;
+    return counter.calls();
+  };
+  EXPECT_GT(co_calls_at(0), 0u);  // The list's values are in the corpus.
+  EXPECT_EQ(co_calls_at(3), 0u);
 }
 
 }  // namespace
