@@ -101,7 +101,7 @@ struct ExtractionRequest {
   /// Installed as the thread-local prof request id while the request runs,
   /// so histogram exemplars and wide events can name it. 0 = anonymous.
   uint64_t request_id = 0;
-  /// Fault injection for watchdog drills: the worker sleeps this long
+  /// Fault injection for watchdog drills: the worker stays busy this long
   /// *inside* Process before extracting, simulating a wedged request. Only
   /// reachable through the daemon's control plane ({"cmd":"inject_stall"}),
   /// never via the data plane.

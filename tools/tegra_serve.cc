@@ -1118,10 +1118,10 @@ int main(int argc, char** argv) {
       return true;
     }
     if (cmd == "inject_stall") {
-      // Watchdog drill: one probe request whose worker sleeps mid-Process,
+      // Watchdog drill: one probe request whose worker stalls mid-Process,
       // producing a genuine stall (busy heartbeat, capturable stack). The
       // future is deliberately dropped — the probe completes on its own and
-      // the control loop must not block for the sleep. debug_sleep_ms is
+      // the control loop must not block for the stall. debug_sleep_ms is
       // only settable here; the HTTP data plane never populates it.
       Flush(&inflight, 0);
       double sleep_ms = request["ms"].AsNumber(2000.0);
