@@ -21,10 +21,15 @@
 #                       the health suite has the watchdog capture the stack
 #                       of a blocked thread and the daemon record its
 #                       time series under traffic)
+#   4. asan-ubsan     — TEGRA_SANITIZE=address,undefined with UBSan findings
+#                       fatal and libstdc++ assertions on; the full suite.
+#                       The extraction hot loops index raw candidate-cell
+#                       arrays, where only ASan sees an out-of-bounds read
 #
 # Usage:
-#   scripts/check.sh            # all three configurations
-#   scripts/check.sh default    # just one (default | trace-off | tsan)
+#   scripts/check.sh            # all four configurations
+#   scripts/check.sh default    # just one (default | trace-off | tsan |
+#                               #           asan-ubsan)
 #
 # Each configuration gets its own build directory (build-check-*) so this
 # never clobbers an existing developer `build/`.
@@ -80,6 +85,16 @@ if [[ "$ONLY" == "all" || "$ONLY" == "tsan" ]]; then
     run ctest --output-on-failure --timeout 600 -L 'service|trace|store|net|prof|qos|health' &&
     run ctest --output-on-failure --timeout 600 -R 'metrics_test|stress_test')
   echo "=== [tsan] OK ==="
+fi
+
+if [[ "$ONLY" == "all" || "$ONLY" == "asan-ubsan" ]]; then
+  configure_and_build asan-ubsan -DTEGRA_SANITIZE=address,undefined \
+    -DTEGRA_TRACE=ON \
+    "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+  echo "=== [asan-ubsan] test (full suite) ==="
+  (cd "$ROOT/build-check-asan-ubsan" &&
+    run ctest --output-on-failure --timeout 600)
+  echo "=== [asan-ubsan] OK ==="
 fi
 
 echo "All requested configurations passed."
